@@ -89,10 +89,10 @@ func run(args []string) int {
 	}
 	k := p.NewKernel(ares.RequiredPermitted)
 	k.TraceEnabled = *trace
-	rt := chronopriv.NewRuntime(k)
+	rt := chronopriv.NewRuntime()
 	res, err := interp.Run(ares.Module, k, interp.Options{
 		MainArgs: p.MainArgs,
-		OnStep:   rt.OnStep,
+		OnSteps:  rt.OnSteps,
 		Profile:  *hotCount > 0,
 		Logger:   logger,
 	})

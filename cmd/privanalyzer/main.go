@@ -102,9 +102,16 @@ func run(args []string) (code int) {
 	searchOpts.NoCompile = *noCompile
 	opts := core.Options{Search: searchOpts, Parallel: *parallel}
 	ctx := telemetry.WithLogger(context.Background(), logger)
+	// The capture paths (-telemetry-json, -trace-out) export the span list;
+	// -prom needs only the metrics.
 	var reg *telemetry.Registry
-	if *telemJSON != "" || *promPath != "" || *traceOut != "" {
+	switch {
+	case *telemJSON != "" || *traceOut != "":
+		reg = telemetry.NewCapture()
+	case *promPath != "":
 		reg = telemetry.New()
+	}
+	if reg != nil {
 		ctx = telemetry.NewContext(ctx, reg)
 	}
 	var rec *telemetry.Recorder

@@ -60,25 +60,25 @@ func run(args []string) int {
 	search.Register(fs)
 	logf.Register(fs)
 	var (
-		attack   = fs.Int("attack", 1, "attack to model (1-4, Table I)")
-		privsArg = fs.String("privs", "", `permitted privilege set, e.g. "CapSetuid,CapChown" (empty for none)`)
-		uidArg   = fs.String("uid", "1000,1000,1000", "real,effective,saved uid")
-		gidArg   = fs.String("gid", "1000,1000,1000", "real,effective,saved gid")
-		syscalls = fs.String("syscalls", "open,chown,setuid,setresuid,setgid,setresgid,kill,socket,bind,connect", "comma-separated syscall inventory")
+		attack    = fs.Int("attack", 1, "attack to model (1-4, Table I)")
+		privsArg  = fs.String("privs", "", `permitted privilege set, e.g. "CapSetuid,CapChown" (empty for none)`)
+		uidArg    = fs.String("uid", "1000,1000,1000", "real,effective,saved uid")
+		gidArg    = fs.String("gid", "1000,1000,1000", "real,effective,saved gid")
+		syscalls  = fs.String("syscalls", "open,chown,setuid,setresuid,setgid,setresgid,kill,socket,bind,connect", "comma-separated syscall inventory")
 		noIndex   = fs.Bool("no-index", false, "disable the successor engine's rule index (ablation)")
 		noIntern  = fs.Bool("no-intern", false, "disable term interning; also disables the transition cache (ablation)")
 		noCompile = fs.Bool("no-compile", false, "disable compiled rule matchers; match every rule through the interpreter (ablation)")
-		example  = fs.Bool("example", false, "run the paper's worked example (Figures 2-4) instead")
-		query    = fs.String("query", "", "run a query file (rosa.ParseQuery format) instead")
-		maude    = fs.Bool("maude", false, "also print the query in the paper's Maude syntax")
-		module   = fs.Bool("module", false, "print the generated Maude UNIX module source and exit")
-		simulate = fs.Bool("simulate", false, "follow one deterministic execution (Maude's rewrite) instead of searching")
-		explain  = fs.Bool("explain", false, "annotate the witness from the search flight recorder: per-step depth, frontier size, and time-to-discovery")
-		ckptOut  = fs.String("checkpoint-out", "", "write search checkpoints to this file (atomically; on truncation/interruption, plus every -checkpoint-every levels); removed when the verdict resolves")
-		ckptEvr  = fs.Int("checkpoint-every", 0, "also checkpoint every N completed BFS levels (0 = only on early exit; needs -checkpoint-out)")
-		resume   = fs.String("resume", "", "resume the search from this checkpoint file (must be the same query; verdict and witness match an uninterrupted run)")
-		progress = fs.Duration("progress", 0, "print a live progress line to stderr at this interval, e.g. 200ms (0 = off)")
-		watch    = fs.String("watch", "", "follow a privanalyzerd job's live event stream at this URL (the status_url or events_url from POST /v1/jobs) instead of searching locally")
+		example   = fs.Bool("example", false, "run the paper's worked example (Figures 2-4) instead")
+		query     = fs.String("query", "", "run a query file (rosa.ParseQuery format) instead")
+		maude     = fs.Bool("maude", false, "also print the query in the paper's Maude syntax")
+		module    = fs.Bool("module", false, "print the generated Maude UNIX module source and exit")
+		simulate  = fs.Bool("simulate", false, "follow one deterministic execution (Maude's rewrite) instead of searching")
+		explain   = fs.Bool("explain", false, "annotate the witness from the search flight recorder: per-step depth, frontier size, and time-to-discovery")
+		ckptOut   = fs.String("checkpoint-out", "", "write search checkpoints to this file (atomically; on truncation/interruption, plus every -checkpoint-every levels); removed when the verdict resolves")
+		ckptEvr   = fs.Int("checkpoint-every", 0, "also checkpoint every N completed BFS levels (0 = only on early exit; needs -checkpoint-out)")
+		resume    = fs.String("resume", "", "resume the search from this checkpoint file (must be the same query; verdict and witness match an uninterrupted run)")
+		progress  = fs.Duration("progress", 0, "print a live progress line to stderr at this interval, e.g. 200ms (0 = off)")
+		watch     = fs.String("watch", "", "follow a privanalyzerd job's live event stream at this URL (the status_url or events_url from POST /v1/jobs) instead of searching locally")
 	)
 	ver := cmdutil.VersionFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -262,7 +262,7 @@ func (r reporter) report(what string, q *rosa.Query) int {
 	var reg *telemetry.Registry
 	ctx := context.Background()
 	if r.search.TraceOut != "" {
-		reg = telemetry.New()
+		reg = telemetry.NewCapture()
 		ctx = telemetry.NewContext(ctx, reg)
 	}
 	ctx = telemetry.WithLogger(ctx, r.logger)

@@ -9,10 +9,11 @@
 //   - AutoPriv (internal/autopriv): whole-program static privilege-liveness
 //     analysis over a compiler IR (internal/ir), inserting priv_remove calls
 //     where privileges become dead.
-//   - ChronoPriv (internal/chronopriv): dynamic instrumentation counting the
+//   - ChronoPriv (internal/chronopriv): dynamic counting of the
 //     instructions executed under each combination of permitted privilege
-//     set and process credentials, driven by an IR interpreter
-//     (internal/interp) over a simulated Linux kernel (internal/vkernel).
+//     set and process credentials, charged per basic-block segment by an IR
+//     interpreter (internal/interp) over a simulated Linux kernel
+//     (internal/vkernel).
 //   - ROSA (internal/rosa): a bounded model checker for the Linux system-call
 //     API built on a miniature Maude term rewriting engine
 //     (internal/rewrite), deciding whether an attacker exploiting the program

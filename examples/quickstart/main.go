@@ -64,8 +64,8 @@ func main() {
 		Perms: vkernel.MustMode("rw-rw-r--"),
 	})
 	kernel.Spawn("logrotated", caps.NewCreds(1000, 1000, analysis.RequiredPermitted))
-	runtime := chronopriv.NewRuntime(kernel)
-	if _, err := interp.Run(analysis.Module, kernel, interp.Options{OnStep: runtime.OnStep}); err != nil {
+	runtime := chronopriv.NewRuntime()
+	if _, err := interp.Run(analysis.Module, kernel, interp.Options{OnSteps: runtime.OnSteps}); err != nil {
 		log.Fatal(err)
 	}
 	report := runtime.Report("logrotated")

@@ -4,22 +4,12 @@
 // many IR instructions a program executes dynamically, and reports the
 // result as the rows of the paper's Tables III and V.
 //
-// Two measurement styles are provided, matching the paper's implementation
-// and its observable semantics:
-//
-//   - Instrument inserts a marker syscall at the head of every basic block
-//     recording the block's counted instruction size, exactly as the paper's
-//     LLVM pass adds code to each basic block. The Runtime's Intercept
-//     claims these markers during interpretation.
-//   - Runtime.OnStep attributes instructions one at a time using the
-//     interpreter's step hook, which is exact even when a privilege phase
-//     changes in the middle of a block.
-//
-// Both styles always agree on run totals; per phase they differ by at most
-// the instructions that trail a phase change within its basic block (e.g.
-// the block's terminator after a priv_remove). The paper's tool has the same
-// block-granularity attribution; the step mode is what the reproduction's
-// tables use.
+// The paper's LLVM pass adds each basic block's instruction count on block
+// entry. The interpreter does the same (internal/interp, compile.go), with
+// blocks split after every call and syscall so that a phase change inside a
+// block is attributed exactly: credentials change only inside syscalls. A
+// Runtime receives the resulting per-phase batches through
+// interp.Options.OnSteps and builds the report.
 package chronopriv
 
 import (
@@ -29,104 +19,28 @@ import (
 	"strings"
 
 	"privanalyzer/internal/caps"
-	"privanalyzer/internal/ir"
-	"privanalyzer/internal/vkernel"
 )
 
-// MarkerSyscall is the instrumentation marker inserted by Instrument. Its
-// two integer arguments are a block identifier and the block's counted
-// instruction size.
-const MarkerSyscall = "chrono_block"
-
-// Instrument returns a copy of m with a marker syscall prepended to every
-// basic block, recording the block's counted instruction size (unreachable
-// instructions are omitted from counts, per the paper §VI). The input module
-// is not modified.
-func Instrument(m *ir.Module) (*ir.Module, error) {
-	if err := m.Verify(); err != nil {
-		return nil, fmt.Errorf("chronopriv: %w", err)
-	}
-	out := m.Clone()
-	id := int64(0)
-	for _, fn := range out.Funcs {
-		for _, blk := range fn.Blocks {
-			marker := &ir.SyscallInstr{
-				Name: MarkerSyscall,
-				Args: []ir.Value{ir.I(id), ir.I(int64(blk.CountedInstrs()))},
-			}
-			blk.Instrs = append([]ir.Instr{marker}, blk.Instrs...)
-			id++
-		}
-	}
-	if err := out.Verify(); err != nil {
-		return nil, fmt.Errorf("chronopriv: instrumented module invalid: %w", err)
-	}
-	return out, nil
-}
-
 // Runtime accumulates per-phase instruction counts during a run. Create one
-// per execution with NewRuntime, wire OnStep (or Intercept for marker-based
-// counting) into the interpreter options, then call Report.
+// per execution with NewRuntime, pass OnSteps as interp.Options.OnSteps,
+// then call Report.
 type Runtime struct {
-	kernel *vkernel.Kernel
-	counts map[caps.PhaseKey]*int64
-	order  []caps.PhaseKey
-
-	// Hot-path cache: phase changes are rare relative to instructions, so
-	// OnStep increments through a pointer while the phase is unchanged and
-	// pays the map lookup only on transitions.
-	lastPhase caps.PhaseKey
-	lastCount *int64
+	counts map[caps.PhaseKey]int64
+	order  []caps.PhaseKey // first-appearance order
 }
 
-// NewRuntime returns a runtime that reads the current phase from k.
-func NewRuntime(k *vkernel.Kernel) *Runtime {
-	return &Runtime{
-		kernel: k,
-		counts: make(map[caps.PhaseKey]*int64),
-	}
+// NewRuntime returns an empty runtime.
+func NewRuntime() *Runtime {
+	return &Runtime{counts: make(map[caps.PhaseKey]int64)}
 }
 
-func (r *Runtime) add(ph caps.PhaseKey, n int64) {
-	if r.lastCount != nil && ph == r.lastPhase {
-		*r.lastCount += n
-		return
-	}
-	c, ok := r.counts[ph]
-	if !ok {
-		c = new(int64)
-		r.counts[ph] = c
+// OnSteps is the interp.Options.OnSteps observer: it attributes a batch of
+// n instructions to the phase they executed under.
+func (r *Runtime) OnSteps(n int64, ph caps.PhaseKey) {
+	if _, ok := r.counts[ph]; !ok {
 		r.order = append(r.order, ph)
 	}
-	*c += n
-	r.lastPhase = ph
-	r.lastCount = c
-}
-
-// OnStep is an interp.StepHook attributing one instruction to the phase in
-// effect when it executes.
-func (r *Runtime) OnStep(_ *ir.Function, _ *ir.Block, _ ir.Instr, ph caps.PhaseKey) {
-	r.add(ph, 1)
-}
-
-// OnSteps is the batched counterpart of OnStep (interp.Options.OnSteps):
-// the interpreter reports each run of instructions executed under one phase
-// as a single count. Per-phase totals are identical to per-step counting.
-func (r *Runtime) OnSteps(n int64, ph caps.PhaseKey) {
-	r.add(ph, n)
-}
-
-// Intercept claims MarkerSyscall instructions, attributing each block's
-// counted size to the phase at block entry. All other syscalls pass through.
-func (r *Runtime) Intercept(name string, args []vkernel.Arg) (bool, int64, error) {
-	if name != MarkerSyscall {
-		return false, 0, nil
-	}
-	if len(args) != 2 || args[0].IsStr || args[1].IsStr {
-		return false, 0, fmt.Errorf("chronopriv: malformed %s marker", MarkerSyscall)
-	}
-	r.add(r.kernel.Current().Creds.Phase(), args[1].Int)
-	return true, 0, nil
+	r.counts[ph] += n
 }
 
 // Phase is one report row: a distinct (privileges, UIDs, GIDs) combination
@@ -174,10 +88,10 @@ type Report struct {
 func (r *Runtime) Report(program string) *Report {
 	rep := &Report{Program: program}
 	for _, ph := range r.order {
-		rep.Total += *r.counts[ph]
+		rep.Total += r.counts[ph]
 	}
 	for _, ph := range r.order {
-		n := *r.counts[ph]
+		n := r.counts[ph]
 		pct := 0.0
 		if rep.Total > 0 {
 			pct = 100 * float64(n) / float64(rep.Total)

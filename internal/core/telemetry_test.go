@@ -32,7 +32,7 @@ func TestAnalyzeSpanHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.New()
+	reg := telemetry.NewCapture()
 	ctx := telemetry.NewContext(context.Background(), reg)
 	a, err := AnalyzeContext(ctx, p, Options{Parallel: true})
 	if err != nil {

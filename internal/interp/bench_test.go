@@ -40,9 +40,9 @@ func BenchmarkInterpreter(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpreterWithStepHook measures the ChronoPriv-style overhead of
-// observing every instruction.
-func BenchmarkInterpreterWithStepHook(b *testing.B) {
+// BenchmarkInterpreterOnSteps measures the ChronoPriv counting path: the
+// same loop with a batched OnSteps observer attached.
+func BenchmarkInterpreterOnSteps(b *testing.B) {
 	m := buildLoop()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -50,13 +50,13 @@ func BenchmarkInterpreterWithStepHook(b *testing.B) {
 		k.Spawn("bench", caps.NewCreds(0, 0, 0))
 		var n int64
 		res, err := Run(m, k, Options{
-			OnStep: func(*ir.Function, *ir.Block, ir.Instr, caps.PhaseKey) { n++ },
+			OnSteps: func(steps int64, _ caps.PhaseKey) { n += steps },
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if n != res.Steps {
-			b.Fatal("hook count mismatch")
+			b.Fatal("OnSteps total mismatch")
 		}
 		b.SetBytes(res.Steps)
 	}

@@ -8,9 +8,23 @@ import (
 
 // The interpreter pre-compiles each function before execution: virtual
 // registers get dense integer slots, branch targets become block indices,
-// and operands are resolved once. This keeps the per-instruction cost low
-// enough to execute the paper's largest workload (sshd's ~63M dynamic
-// instructions, Table III) in seconds.
+// and operands are resolved once.
+//
+// Counting follows the paper's ChronoPriv pass (§VI), which adds a basic
+// block's instruction count once, on block entry. Credentials change only
+// inside syscalls, so each block is split into segments that end after every
+// call, indirect call and syscall (the only instructions that can reach the
+// kernel), and a segment's counted size (unreachable excluded) is stored on
+// its first compiled instruction. The interpreter charges that size once per
+// segment; no per-instruction counting remains. Every instruction of a
+// segment therefore runs under the phase in effect when the segment starts.
+//
+// Because nothing is counted per dispatch, the compiler also fuses the two
+// hot shapes programs.work emits: a Const followed by its chain of
+// "add r, r, imm" folds into one Const of the final value, and a Cmp whose
+// result the next Br tests becomes one compare-and-branch (still writing the
+// compare's register). Each block keeps its unfused form for the one segment
+// of a run that crosses the fuel limit, which runs instruction by instruction.
 
 // copKind is the opcode of a compiled instruction.
 type copKind uint8
@@ -26,6 +40,7 @@ const (
 	cJmp
 	cRet
 	cUnreachable
+	cCmpBr // fused Cmp + Br on its result
 )
 
 // cval is a pre-resolved operand: a register slot or an immediate rval.
@@ -45,14 +60,24 @@ type cinstr struct {
 	fn    string // direct-call callee or syscall name
 	t1    int    // branch target block index (then / jmp target)
 	t2    int    // else target
-	src   ir.Instr
-	hasRV bool // ret carries a value (in x)
+	hasRV bool   // ret carries a value (in x)
+	// charge is the counted size of the segment this instruction starts;
+	// 0 everywhere else.
+	charge int64
+	// at is the index in the block's plain form of the first source
+	// instruction this one executes.
+	at int
 }
 
 // cblock is a compiled basic block.
 type cblock struct {
-	b      *ir.Block
-	instrs []cinstr
+	b *ir.Block
+	// code is the fused form the interpreter runs; segment heads carry
+	// their charges.
+	code []cinstr
+	// plain has one instruction per source instruction and no charges: the
+	// form the fuel-crossing segment runs in.
+	plain []cinstr
 }
 
 // cfunc is a compiled function.
@@ -128,9 +153,9 @@ func compileFunc(fn *ir.Function) (*cfunc, error) {
 	}
 
 	for _, b := range fn.Blocks {
-		cb := cblock{b: b, instrs: make([]cinstr, 0, len(b.Instrs))}
-		for _, in := range b.Instrs {
-			ci := cinstr{src: in, dst: -1, t1: -1, t2: -1}
+		cb := cblock{b: b, plain: make([]cinstr, 0, len(b.Instrs))}
+		for i, in := range b.Instrs {
+			ci := cinstr{dst: -1, t1: -1, t2: -1, at: i}
 			var err error
 			switch in := in.(type) {
 			case *ir.ConstInstr:
@@ -203,10 +228,64 @@ func compileFunc(fn *ir.Function) (*cfunc, error) {
 			default:
 				return nil, fmt.Errorf("%w: unknown instruction %T", ErrRuntime, in)
 			}
-			cb.instrs = append(cb.instrs, ci)
+			cb.plain = append(cb.plain, ci)
 		}
+		cb.code = fuse(cb.plain, segmentCharges(cb.plain))
 		cf.blocks = append(cf.blocks, cb)
 	}
 	cf.nregs = len(slots)
 	return cf, nil
+}
+
+// segmentCharges returns, indexed like plain, the counted size of the
+// segment each instruction starts (0 for instructions inside a segment).
+// A segment ends after every call, indirect call and syscall; unreachable is
+// not counted (the paper §VI omits it).
+func segmentCharges(plain []cinstr) []int64 {
+	charges := make([]int64, len(plain))
+	head := 0
+	for i, in := range plain {
+		if in.op != cUnreachable {
+			charges[head]++
+		}
+		switch in.op {
+		case cCall, cCallInd, cSyscall:
+			head = i + 1
+		}
+	}
+	return charges
+}
+
+// fuse builds a block's run form from its plain form. No fused group spans
+// a segment boundary (Const, Bin and Cmp never end one), so every segment
+// head starts a group and carries its charge over.
+func fuse(plain []cinstr, charges []int64) []cinstr {
+	code := make([]cinstr, 0, len(plain))
+	for i := 0; i < len(plain); {
+		ci := plain[i]
+		ci.charge = charges[i]
+		next := i + 1
+		switch {
+		case ci.op == cConst && ci.dst >= 0:
+			// Const r,k; add r,r,a; add r,r,b; … → Const r,k+a+b+…
+			// (int64 addition wraps, as it does at run time).
+			for ; next < len(plain) && addsImmTo(&plain[next], ci.dst); next++ {
+				ci.x.val.i += plain[next].y.val.i
+			}
+		case ci.op == cCmp && ci.dst >= 0 && next < len(plain) &&
+			plain[next].op == cBr && plain[next].x.reg == ci.dst:
+			ci.op = cCmpBr
+			ci.t1, ci.t2 = plain[next].t1, plain[next].t2
+			next++
+		}
+		code = append(code, ci)
+		i = next
+	}
+	return code
+}
+
+// addsImmTo reports whether in is "add r, r, imm" for register slot r.
+func addsImmTo(in *cinstr, r int) bool {
+	return in.op == cBin && in.bin == ir.Add && in.dst == r &&
+		in.x.reg == r && in.y.reg < 0 && in.y.val.kind == rInt
 }

@@ -1,13 +1,14 @@
 // Package interp executes IR modules against a simulated kernel. It is the
-// dynamic-execution substrate ChronoPriv measures: each counted instruction
-// fires a step hook carrying the process's current measurement phase
-// (permitted privilege set plus the six user/group IDs), and syscall
-// instructions are dispatched to the vkernel, which enforces the same
-// capability and DAC semantics the ROSA model checker reasons about.
+// dynamic-execution substrate ChronoPriv measures: the run reports its
+// counted instructions in batches, each tagged with the process's
+// measurement phase (permitted privilege set plus the six user/group IDs),
+// and syscall instructions are dispatched to the vkernel, which enforces the
+// same capability and DAC semantics the ROSA model checker reasons about.
 //
-// Functions are pre-compiled to a register-slot form (see compile.go) so
-// that the paper's largest dynamic workload — sshd's ~63M instructions in
-// Table III — executes in seconds.
+// Functions are pre-compiled (see compile.go) into segments that are
+// charged once, as the paper's ChronoPriv pass charges a basic block on
+// entry, so the paper's largest dynamic workload — sshd's ~63M instructions
+// in Table III — pays no per-instruction counting cost.
 package interp
 
 import (
@@ -40,37 +41,26 @@ const defaultFuel = int64(1_000_000_000)
 // maxCallDepth bounds recursion.
 const maxCallDepth = 10_000
 
-// StepHook observes one counted instruction about to execute. phase is the
-// process's measurement phase before the instruction runs.
-type StepHook func(fn *ir.Function, blk *ir.Block, in ir.Instr, phase caps.PhaseKey)
-
-// Interceptor may claim a syscall before the kernel sees it; ChronoPriv's
-// runtime uses this for its instrumentation markers. Returning handled=false
-// passes the call through to the kernel.
-type Interceptor func(name string, args []vkernel.Arg) (handled bool, ret int64, err error)
-
 // Options configures a run.
 type Options struct {
 	// Fuel bounds the number of dynamic instructions; 0 means a large
-	// default.
+	// default. A run that would exceed it fails with ErrOutOfFuel after
+	// exactly Fuel instructions: the segment that crosses the limit runs
+	// instruction by instruction, so an earlier runtime error in that
+	// segment is still the error returned.
 	Fuel int64
 	// MainArgs binds the parameters of main, in order; missing ones are 0.
 	MainArgs []int64
-	// OnStep, if set, observes every counted instruction.
-	OnStep StepHook
-	// OnSteps, if set, observes counted instructions in batches: it fires
-	// at every phase boundary (credentials change only inside syscalls) and
-	// once at run end, with the number of instructions executed under the
-	// given phase since the previous report. Totals per phase are identical
-	// to OnStep's, at a fraction of the cost — ChronoPriv's bulk counting
-	// path. Independent of OnStep; both may be set.
+	// OnSteps, if set, receives the run's counted instructions in batches:
+	// it fires at every phase boundary (credentials change only inside
+	// syscalls) and once when the run completes, with the number of
+	// instructions executed under the given phase since the previous
+	// report. The per-phase totals of a completed run are exact; a failed
+	// run gets no final report. This is ChronoPriv's counting path.
 	OnSteps func(n int64, phase caps.PhaseKey)
-	// Intercept, if set, may claim syscalls before kernel dispatch.
-	// Intercepted syscalls are not counted as executed instructions.
-	Intercept Interceptor
 	// Profile collects the hot-block profile (counted instructions per
-	// basic block), reported in Result.Profile. The cost is one slice
-	// increment per instruction; disabled it costs a nil check.
+	// basic block), reported in Result.Profile. It adds one slice increment
+	// per executed segment; disabled it costs a nil check per segment.
 	Profile bool
 	// Logger, if set, receives a debug record when the run finishes (steps,
 	// elapsed time, exit mode). Nil keeps the interpreter silent.
@@ -127,8 +117,7 @@ type machine struct {
 
 	// phase caches the current process's measurement phase. Credentials
 	// change only inside kernel syscalls, so the cache is refreshed after
-	// every Invoke and read everywhere else — the step hooks never pay a
-	// per-instruction phase computation.
+	// every Invoke and read everywhere else.
 	phase caps.PhaseKey
 	// pending counts instructions executed under phase since the last
 	// OnSteps report.
@@ -189,10 +178,10 @@ func Run(m *ir.Module, k *vkernel.Kernel, opts Options) (*Result, error) {
 	}
 	began := time.Now()
 	ret, err := vm.call(cf, args)
-	vm.flushSteps()
 	if err != nil {
 		return nil, err
 	}
+	vm.flushSteps()
 	res := &Result{Steps: vm.steps, Exited: vm.exited, Profile: vm.prof, Elapsed: time.Since(began)}
 	if ret.kind == rInt {
 		res.Ret = ret.i
@@ -245,6 +234,16 @@ func setInt(r *rval, v int64) {
 	r.i = v
 }
 
+// charge counts n instructions of block bi as executed under the current
+// phase.
+func (vm *machine) charge(n int64, bcounts []int64, bi int) {
+	vm.steps += n
+	vm.pending += n
+	if bcounts != nil {
+		bcounts[bi] += n
+	}
+}
+
 // call executes one compiled function to completion.
 func (vm *machine) call(cf *cfunc, args []rval) (rval, error) {
 	if vm.depth >= maxCallDepth {
@@ -262,7 +261,6 @@ func (vm *machine) call(cf *cfunc, args []rval) (rval, error) {
 		}
 	}
 
-	hook := vm.opts.OnStep
 	var bcounts []int64
 	if vm.prof != nil {
 		bcounts = vm.prof.slots(cf)
@@ -271,41 +269,24 @@ func (vm *machine) call(cf *cfunc, args []rval) (rval, error) {
 block:
 	for {
 		cb := &cf.blocks[bi]
-		for ii := range cb.instrs {
-			in := &cb.instrs[ii]
+		code := cb.code
+		outOfFuel := false
+		for ii := 0; ii < len(code); ii++ {
+			in := &code[ii]
 
-			// Instrumentation markers claimed by the interceptor are
-			// invisible to counting and to the kernel.
-			if in.op == cSyscall && vm.opts.Intercept != nil {
-				kargs, err := vm.kernelArgs(in.args, regs, cf)
-				if err != nil {
-					return rval{}, err
-				}
-				handled, r, herr := vm.opts.Intercept(in.fn, kargs)
-				if herr != nil {
-					return rval{}, fmt.Errorf("%w: interceptor: %v", ErrRuntime, herr)
-				}
-				if handled {
-					if in.dst >= 0 {
-						regs[in.dst] = intVal(r)
-					}
+			// A segment head charges the whole segment: it runs under one
+			// phase, since only its last instruction can reach the kernel.
+			if n := in.charge; n != 0 {
+				if avail := vm.fuel - vm.steps; n > avail {
+					// The limit falls inside this segment: run its first
+					// avail instructions unfused, then stop.
+					vm.charge(avail, bcounts, bi)
+					code = cb.plain[:in.at+int(avail)]
+					ii = in.at - 1
+					outOfFuel = true
 					continue
 				}
-			}
-
-			if in.op == cUnreachable {
-				return rval{}, fmt.Errorf("%w at @%s:%s", ErrUnreachable, cf.fn.Name, cb.b.Name)
-			}
-			if vm.steps >= vm.fuel {
-				return rval{}, fmt.Errorf("%w after %d instructions", ErrOutOfFuel, vm.steps)
-			}
-			if hook != nil {
-				hook(cf.fn, cb.b, in.src, vm.phase)
-			}
-			vm.steps++
-			vm.pending++
-			if bcounts != nil {
-				bcounts[bi]++
+				vm.charge(n, bcounts, bi)
 			}
 
 			switch in.op {
@@ -313,6 +294,8 @@ block:
 				if in.dst >= 0 {
 					setInt(&regs[in.dst], in.x.val.i) // cConst immediates are always integers
 				}
+			case cUnreachable:
+				return rval{}, fmt.Errorf("%w at @%s:%s", ErrUnreachable, cf.fn.Name, cb.b.Name)
 			case cBin:
 				xi, xk := intOperand(&in.x, regs)
 				yi, yk := intOperand(&in.y, regs)
@@ -343,7 +326,7 @@ block:
 				if in.dst >= 0 {
 					regs[in.dst] = v
 				}
-			case cCmp:
+			case cCmp, cCmpBr:
 				xi, xk := intOperand(&in.x, regs)
 				yi, yk := intOperand(&in.y, regs)
 				if xk != rInt || yk != rInt {
@@ -380,6 +363,14 @@ block:
 					} else {
 						setInt(&regs[in.dst], 0)
 					}
+				}
+				if in.op == cCmpBr {
+					if b {
+						bi = in.t1
+					} else {
+						bi = in.t2
+					}
+					continue block
 				}
 			case cCall:
 				r, err := vm.dispatchCall(vm.code[in.fn], in, regs, cf)
@@ -457,6 +448,9 @@ block:
 				}
 				return vm.eval(in.x, regs, cf)
 			}
+		}
+		if outOfFuel {
+			return rval{}, fmt.Errorf("%w after %d instructions", ErrOutOfFuel, vm.steps)
 		}
 		return rval{}, fmt.Errorf("%w: block @%s:%s fell through", ErrRuntime, cf.fn.Name, cb.b.Name)
 	}

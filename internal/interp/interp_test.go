@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"privanalyzer/internal/caps"
@@ -197,6 +198,60 @@ func TestOutOfFuel(t *testing.T) {
 	if !errors.Is(err, ErrOutOfFuel) {
 		t.Errorf("err = %v, want ErrOutOfFuel", err)
 	}
+	// entry's jmp, then 499 two-instruction trips; the 500th trip's segment
+	// crosses the limit after its const.
+	if err == nil || !strings.Contains(err.Error(), "after 1000 instructions") {
+		t.Errorf("err = %v, want the count pinned at 1000", err)
+	}
+}
+
+// TestOutOfFuelInsideSegment pins the exact fuel semantics when the limit
+// falls partway through one segment: entry is a single 17-instruction
+// segment (a fused Compute(3) chain, a division, a fused Compute(12) chain,
+// ret). The run stops after exactly Fuel instructions, and a division by
+// zero before the limit in the same segment is still the error returned.
+func TestOutOfFuelInsideSegment(t *testing.T) {
+	build := func(divisor int64) *ir.Module {
+		b := ir.NewModuleBuilder("m")
+		f := b.Func("main")
+		f.Block("entry").
+			Compute(3).
+			Bin("q", ir.Div, ir.I(84), ir.I(divisor)).
+			Compute(12).
+			RetVal(ir.R("q"))
+		return b.MustBuild()
+	}
+	for _, tt := range []struct {
+		name    string
+		divisor int64
+		fuel    int64
+		want    error
+		wantMsg string
+	}{
+		{"inside first chain", 2, 2, ErrOutOfFuel, "after 2 instructions"},
+		{"before the division", 2, 3, ErrOutOfFuel, "after 3 instructions"},
+		{"inside second chain", 2, 9, ErrOutOfFuel, "after 9 instructions"},
+		{"before the ret", 2, 16, ErrOutOfFuel, "after 16 instructions"},
+		{"one instruction", 2, 1, ErrOutOfFuel, "after 1 instructions"},
+		{"division by zero first", 0, 9, ErrRuntime, "division by zero"},
+		{"division by zero at the limit", 0, 4, ErrRuntime, "division by zero"},
+		{"out of fuel before the division", 0, 3, ErrOutOfFuel, "after 3 instructions"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := Run(build(tt.divisor), newKernel(0), Options{Fuel: tt.fuel})
+			if !errors.Is(err, tt.want) || !strings.Contains(err.Error(), tt.wantMsg) {
+				t.Errorf("err = %v, want %v with %q", err, tt.want, tt.wantMsg)
+			}
+			if tt.want == ErrRuntime && errors.Is(err, ErrOutOfFuel) {
+				t.Errorf("err = %v, want the division error, not out of fuel", err)
+			}
+		})
+	}
+	// Exactly enough fuel completes the run.
+	res, err := Run(build(2), newKernel(0), Options{Fuel: 17})
+	if err != nil || res.Steps != 17 || res.Ret != 42 {
+		t.Errorf("Fuel 17: res = %+v, err = %v, want 17 steps returning 42", res, err)
+	}
 }
 
 func TestUnreachableAborts(t *testing.T) {
@@ -290,54 +345,25 @@ func TestOnStepPhases(t *testing.T) {
 		Remove(setuid).
 		Compute(2).
 		Ret()
-	var phases []caps.Set
-	opts := Options{OnStep: func(_ *ir.Function, _ *ir.Block, _ ir.Instr, ph caps.PhaseKey) {
-		phases = append(phases, ph.Permitted)
+	var reports int
+	var before, after int64
+	opts := Options{OnSteps: func(n int64, ph caps.PhaseKey) {
+		reports++
+		if ph.Permitted.Has(caps.CapSetuid) {
+			before += n
+		} else {
+			after += n
+		}
 	}}
 	res, _ := run(t, b.MustBuild(), setuid, opts)
-	if res.Steps != int64(len(phases)) {
-		t.Fatalf("Steps %d != hook calls %d", res.Steps, len(phases))
+	if res.Steps != before+after {
+		t.Fatalf("Steps %d != OnSteps total %d", res.Steps, before+after)
 	}
 	// 3 compute + the remove itself run with the cap still permitted; the 2
-	// compute after it plus ret run without.
-	wantBefore, wantAfter := 4, 3
-	var before, after int
-	for _, p := range phases {
-		if p.Has(caps.CapSetuid) {
-			before++
-		} else {
-			after++
-		}
-	}
-	if before != wantBefore || after != wantAfter {
-		t.Errorf("phase split = %d/%d, want %d/%d", before, after, wantBefore, wantAfter)
-	}
-}
-
-func TestInterceptor(t *testing.T) {
-	b := ir.NewModuleBuilder("m")
-	f := b.Func("main")
-	f.Block("entry").
-		SyscallTo("x", "chrono_marker", ir.I(7)).
-		RetVal(ir.R("x"))
-	var seen []int64
-	opts := Options{Intercept: func(name string, args []vkernel.Arg) (bool, int64, error) {
-		if name != "chrono_marker" {
-			return false, 0, nil
-		}
-		seen = append(seen, args[0].Int)
-		return true, 99, nil
-	}}
-	res, _ := run(t, b.MustBuild(), 0, opts)
-	if res.Ret != 99 {
-		t.Errorf("intercepted ret = %d, want 99", res.Ret)
-	}
-	if len(seen) != 1 || seen[0] != 7 {
-		t.Errorf("seen = %v", seen)
-	}
-	// The marker is not counted.
-	if res.Steps != 1 {
-		t.Errorf("Steps = %d, want 1 (ret only)", res.Steps)
+	// compute after it plus ret run without. One report at the phase change,
+	// one at run end.
+	if before != 4 || after != 3 || reports != 2 {
+		t.Errorf("phase split = %d/%d in %d reports, want 4/3 in 2", before, after, reports)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // from?" — the block-granularity analogue of the paper's per-phase counts.
 // Enable with Options.Profile; read from Result.Profile.
 //
-// Like the chronopriv runtime's phase counters, the hot path touches a
-// pre-resolved slot (one slice index per instruction) and pays no map or
+// The interpreter adds each charged segment's size to a pre-resolved slot
+// (one slice index per segment, not per instruction) and pays no map or
 // lock cost; the run is single-goroutine, so plain int64 counters suffice.
 type BlockProfile struct {
 	counts map[*cfunc][]int64 // per compiled function, one counter per block

@@ -187,8 +187,9 @@ func (p *Program) MeasureContext(ctx context.Context) (*chronopriv.Report, *auto
 
 // MeasureProfiled is MeasureContext with the interpreter's hot-block profile
 // enabled; the profile feeds the counter tracks of the Chrome Trace export
-// (-trace-out). Profiling costs one slice increment per counted instruction,
-// so the plain measurement paths keep it off.
+// (-trace-out). Profiling costs one slice increment per charged segment, not
+// per instruction, so the profile falls out of the same per-segment charging
+// as the phase counts.
 func (p *Program) MeasureProfiled(ctx context.Context) (*chronopriv.Report, *autopriv.Result, *interp.BlockProfile, error) {
 	return measure(ctx, p.Module, p, true)
 }
@@ -207,7 +208,7 @@ func measure(ctx context.Context, m *ir.Module, p *Program, profile bool) (*chro
 		"required_permitted", ares.RequiredPermitted.String(),
 		"removals", len(ares.Removals))
 	k := p.NewKernel(ares.RequiredPermitted)
-	rt := chronopriv.NewRuntime(k)
+	rt := chronopriv.NewRuntime()
 	sp, _ = telemetry.StartSpan(ctx, "chronopriv", "program", p.Name)
 	res, err := interp.Run(ares.Module, k, interp.Options{
 		MainArgs: p.MainArgs,

@@ -358,10 +358,10 @@ func TestPingWorkloadSensitivity(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := p.NewKernel(ares.RequiredPermitted)
-		rt := chronopriv.NewRuntime(k)
+		rt := chronopriv.NewRuntime()
 		if _, err := interp.Run(ares.Module, k, interp.Options{
 			MainArgs: []int64{0, count},
-			OnStep:   rt.OnStep,
+			OnSteps:  rt.OnSteps,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -388,58 +388,39 @@ func TestPingWorkloadSensitivity(t *testing.T) {
 }
 
 func TestBlockModeAgreesOnRealModels(t *testing.T) {
-	// The marker-based (block) instrumentation and the per-step hook agree
-	// on totals for every fast program model, and per phase within the
-	// number of phase transitions (the trailing terminators of transition
-	// blocks — see internal/chronopriv's package doc).
-	for _, build := range fastPrograms {
-		p, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
+	// Segment charging is the interpreter's only counting path: a direct
+	// interp.Run with OnSteps must report every model's phases in
+	// chronological order with exactly the paper's per-phase counts, and
+	// the batches must sum to the run's Steps.
+	all, err := All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range all {
 		t.Run(p.Name, func(t *testing.T) {
 			ares, err := autopriv.Analyze(p.Module, autopriv.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			k1 := p.NewKernel(ares.RequiredPermitted)
-			rt1 := chronopriv.NewRuntime(k1)
-			if _, err := interp.Run(ares.Module, k1, interp.Options{
-				MainArgs: p.MainArgs, OnStep: rt1.OnStep,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			stepRep := rt1.Report(p.Name)
-
-			inst, err := chronopriv.Instrument(ares.Module)
+			rt := chronopriv.NewRuntime()
+			res, err := interp.Run(ares.Module, p.NewKernel(ares.RequiredPermitted), interp.Options{
+				MainArgs: p.MainArgs, OnSteps: rt.OnSteps,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			k2 := p.NewKernel(ares.RequiredPermitted)
-			rt2 := chronopriv.NewRuntime(k2)
-			if _, err := interp.Run(inst, k2, interp.Options{
-				MainArgs: p.MainArgs, Intercept: rt2.Intercept,
-			}); err != nil {
-				t.Fatal(err)
+			rep := rt.Report(p.Name)
+			if rep.Total != res.Steps {
+				t.Errorf("OnSteps total %d != Steps %d", rep.Total, res.Steps)
 			}
-			blockRep := rt2.Report(p.Name)
-
-			if stepRep.Total != blockRep.Total {
-				t.Fatalf("totals differ: step %d vs block %d", stepRep.Total, blockRep.Total)
+			if len(rep.Phases) != len(p.ChronologicalOrder) {
+				t.Fatalf("%d phases observed, want %d:\n%s", len(rep.Phases), len(p.ChronologicalOrder), rep)
 			}
-			if len(stepRep.Phases) != len(blockRep.Phases) {
-				t.Fatalf("phase counts differ: %d vs %d", len(stepRep.Phases), len(blockRep.Phases))
-			}
-			transitions := int64(len(stepRep.Phases))
-			for i := range stepRep.Phases {
-				s, b := stepRep.Phases[i], blockRep.Phases[i]
-				if s.Key() != b.Key() {
-					t.Errorf("phase %d keys differ", i)
-				}
-				if diff := s.Instructions - b.Instructions; diff > transitions || diff < -transitions {
-					t.Errorf("phase %d skew too large: step %d vs block %d",
-						i, s.Instructions, b.Instructions)
+			for chron, specIdx := range p.ChronologicalOrder {
+				spec, got := p.Phases[specIdx], rep.Phases[chron]
+				if got.Key() != spec.Key() || got.Instructions != spec.Instructions {
+					t.Errorf("phase %d = %v with %d instructions, want %s %v with %d",
+						chron, got.Key(), got.Instructions, spec.Name, spec.Key(), spec.Instructions)
 				}
 			}
 		})

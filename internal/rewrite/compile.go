@@ -130,7 +130,7 @@ func (c *CompiledRules) CompiledCount() int { return c.count }
 // getScratch and putScratch recycle matcher state across expansions; slots
 // are all nil between uses (the backtracker's trail discipline restores
 // them), so a pooled scratch is indistinguishable from a fresh one.
-func (c *CompiledRules) getScratch() *matcherScratch { return c.pool.Get().(*matcherScratch) }
+func (c *CompiledRules) getScratch() *matcherScratch  { return c.pool.Get().(*matcherScratch) }
 func (c *CompiledRules) putScratch(m *matcherScratch) { c.pool.Put(m) }
 
 // compileRule lowers one rule, or reports it outside the fragment (nil).

@@ -310,8 +310,8 @@ func TestCompiledCheckpointResumeDifferential(t *testing.T) {
 	}
 
 	cross := []struct {
-		name            string
-		truncNC, resNC  bool
+		name           string
+		truncNC, resNC bool
 	}{
 		{"compiled->interpreted", false, true},
 		{"interpreted->compiled", true, false},
@@ -363,8 +363,8 @@ func TestCompiledCounterAccounting(t *testing.T) {
 	mixed := func() *System {
 		s := tokens(3)
 		s.Rules = append(s.Rules, Rule{
-			Name: "noop",
-			LHS:  NewVar("X", SortInt),
+			Name:  "noop",
+			LHS:   NewVar("X", SortInt),
 			Build: func(b Binding) (*Term, bool) { return nil, false },
 		})
 		return s

@@ -318,3 +318,26 @@ func TestServeGracefulDrain(t *testing.T) {
 		t.Fatal("drain did not complete")
 	}
 }
+
+// TestServerDoesNotRetainSpans: every request opens spans on the server's
+// registry (analyze → autopriv, chronopriv, rosa.query), but a long-lived
+// server must not keep them, or its memory grows with requests served.
+func TestServerDoesNotRetainSpans(t *testing.T) {
+	s, ts := testServer(t, Config{Concurrency: 2})
+	const n = 10
+	for i := 0; i < n; i++ {
+		if resp, body := postJSON(t, ts.URL+"/v1/analyze", `{"program":"ping","attacks":[1,3]}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("analyze status %d: %s", resp.StatusCode, body)
+		}
+		if resp, body := postJSON(t, ts.URL+"/v1/query",
+			`{"attack":2,"privs":"CapSetuid","syscalls":["open","chown","setuid"]}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query status %d: %s", resp.StatusCode, body)
+		}
+	}
+	if got := s.reg.Counter("core_analyses_total").Value(); got != n {
+		t.Fatalf("core_analyses_total = %d, want %d (requests ran under the registry)", got, n)
+	}
+	if spans := s.reg.Spans(); len(spans) != 0 {
+		t.Errorf("registry retains %d spans after %d requests, want 0", len(spans), 2*n)
+	}
+}

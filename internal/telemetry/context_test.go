@@ -22,7 +22,7 @@ func TestRequestIDContext(t *testing.T) {
 }
 
 func TestStartSpanCarriesRequestID(t *testing.T) {
-	reg := New()
+	reg := NewCapture()
 	ctx := NewContext(context.Background(), reg)
 	ctx = WithRequestID(ctx, "req-7")
 	sp, _ := StartSpan(ctx, "work", "program", "su")

@@ -12,7 +12,7 @@ import (
 )
 
 func TestWriteJSONLHierarchy(t *testing.T) {
-	r := New()
+	r := NewCapture()
 	root := r.StartSpan("analyze", nil, "program", "su")
 	stage := r.StartSpan("chronopriv", root, "program", "su")
 	q := r.StartSpan("rosa.query", stage, "program", "su", "phase", "su_priv1", "attack", "1")
@@ -88,7 +88,7 @@ func TestWriteJSONLHierarchy(t *testing.T) {
 }
 
 func TestUnfinishedSpanExport(t *testing.T) {
-	r := New()
+	r := NewCapture()
 	r.StartSpan("open", nil)
 	var buf bytes.Buffer
 	if err := r.WriteJSONL(&buf); err != nil {
@@ -221,4 +221,20 @@ func ExampleRegistry_WriteProm() {
 	// Output:
 	// # TYPE queries_total counter
 	// queries_total 2
+}
+
+func TestOnlyCaptureRegistriesRetainSpans(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		reg  *Registry
+		want int
+	}{{"New", New(), 0}, {"NewCapture", NewCapture(), 2}} {
+		root := tt.reg.StartSpan("analyze", nil)
+		child := tt.reg.StartSpan("chronopriv", root)
+		child.End()
+		root.End()
+		if got := len(tt.reg.Spans()); got != tt.want {
+			t.Errorf("%s: %d spans retained, want %d", tt.name, got, tt.want)
+		}
+	}
 }

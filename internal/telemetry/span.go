@@ -28,8 +28,9 @@ type Span struct {
 }
 
 // StartSpan opens a span under parent (nil for a root span) with the given
-// label pairs ("key1", "val1", "key2", "val2", …). Returns nil on a nil
-// registry; all Span methods are nil-safe.
+// label pairs ("key1", "val1", "key2", "val2", …). Only a NewCapture
+// registry retains the span for export. Returns nil on a nil registry; all
+// Span methods are nil-safe.
 func (r *Registry) StartSpan(name string, parent *Span, kv ...string) *Span {
 	if r == nil {
 		return nil
@@ -44,9 +45,11 @@ func (r *Registry) StartSpan(name string, parent *Span, kv ...string) *Span {
 	if parent != nil {
 		s.parent = parent.id
 	}
-	r.spanMu.Lock()
-	r.spans = append(r.spans, s)
-	r.spanMu.Unlock()
+	if r.keepSpans {
+		r.spanMu.Lock()
+		r.spans = append(r.spans, s)
+		r.spanMu.Unlock()
+	}
 	return s
 }
 
@@ -145,7 +148,8 @@ func (s *Span) record() spanRecord {
 	return rec
 }
 
-// Spans returns the registry's spans in start order (nil on a nil registry).
+// Spans returns the registry's retained spans in start order: every span of
+// a NewCapture registry, none of a New one (nil on a nil registry).
 func (r *Registry) Spans() []*Span {
 	if r == nil {
 		return nil

@@ -12,7 +12,7 @@
 //	telemetry.FromContext(ctx).Counter("rosa_queries_total").Add(1)
 //
 // costs two nil checks when no registry is attached. Hot loops (the
-// interpreter's per-instruction path, the search engine's per-successor path)
+// interpreter's dispatch loop, the search engine's per-successor path)
 // never consult the registry at all; they aggregate locally and report at
 // stage boundaries.
 package telemetry
@@ -35,9 +35,10 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
-	spanMu  sync.Mutex
-	spans   []*Span
-	spanSeq atomic.Int64
+	spanMu    sync.Mutex
+	spans     []*Span
+	spanSeq   atomic.Int64
+	keepSpans bool // NewCapture: retain every span for export
 
 	// proc is the registry's runtime/metrics sampler (process.go); one per
 	// registry so repeated SampleProcess calls ingest histogram deltas
@@ -46,13 +47,24 @@ type Registry struct {
 	proc   *processSampler
 }
 
-// New returns an empty registry.
+// New returns an empty registry. Its spans time and log their regions but
+// are not retained, so a long-lived process (the analysis server) can open
+// spans for every request without its memory growing; Spans, WriteJSONL and
+// WriteTrace see none of them.
 func New() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
+}
+
+// NewCapture returns an empty registry that also keeps every span it starts,
+// for a run that exports them (WriteJSONL, WriteTrace) when it ends.
+func NewCapture() *Registry {
+	r := New()
+	r.keepSpans = true
+	return r
 }
 
 // Counter returns the named counter, creating it on first use.

@@ -36,7 +36,7 @@ func decodeTrace(t *testing.T, data []byte) (events []map[string]any, unit strin
 // complete events, recorder events as thread-scoped instants on worker
 // tracks, counter samples, and thread metadata sorted first.
 func TestWriteTraceJSON(t *testing.T) {
-	reg := New()
+	reg := NewCapture()
 	ctx := NewContext(context.Background(), reg)
 	sp, _ := StartSpan(ctx, "analyze", "program", "thttpd")
 	sp.End()
