@@ -1,7 +1,8 @@
 // Command privanalyzerd is the long-lived PrivAnalyzer analysis server: a
-// REST+JSON daemon over the same engine the CLIs drive, keeping per-program
-// checkers (interner, transition caches) hot across requests so repeat
-// analyses amortize the graph expansion a one-shot CLI run throws away.
+// REST+JSON daemon over the same engine the CLIs drive, keeping each
+// program's measurement and checker (interner, transition caches) hot
+// across requests so repeat analyses skip the interpretation and graph
+// expansion a one-shot CLI run throws away.
 //
 // Usage:
 //
@@ -58,9 +59,9 @@ func run(args []string, onListen func(net.Addr)) int {
 	logf.Register(fs)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:7177", "listen address")
-		concurrency = fs.Int("concurrency", 0, "requests served at once — the worker-pool size; each request may still use multi-worker search via -workers (0 = one per CPU)")
+		concurrency = fs.Int("concurrency", 0, "requests served at once — the worker-pool size (0 = one per CPU); each request searches sequentially unless -workers asks for more")
 		queue       = fs.Int("queue", 0, "pending-request bound; a full queue answers 503 and flips /readyz (0 = 64)")
-		checkers    = fs.Int("checkers", 0, "per-program checker LRU capacity — how many programs stay cache-warm (0 = 8)")
+		checkers    = fs.Int("checkers", 0, "LRU capacity for per-program entries (measurement + checker) and the two ad-hoc query checkers (0 = every program plus both ad-hoc checkers)")
 		drain       = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window for queued and in-flight requests")
 		jobStats    = fs.Duration("job-stats-interval", 0, "throttle async jobs' progress snapshots (SSE stats frames) to this interval (0 = one per completed depth level)")
 		slowlog     = fs.Int("slowlog", 0, "slow-query journal capacity: the top-K costliest requests kept for GET /v1/slowlog (0 = 32)")

@@ -64,8 +64,9 @@ type SearchParams struct {
 	// 0 means the standing default (rosa.DefaultMaxStates for raw queries,
 	// core.DefaultMaxStates for analyses). CLI flag: -budget.
 	Budget int `json:"budget,omitempty"`
-	// Workers is the search worker count per depth level (0 = one per CPU,
-	// 1 = sequential). Verdicts are identical at any value. CLI: -workers.
+	// Workers is the search worker count per depth level (0 or 1 =
+	// sequential, the default; n > 1 = n goroutines per level). Verdicts are
+	// identical at any value. CLI: -workers.
 	Workers int `json:"workers,omitempty"`
 	// Escalate is the budget-escalation ladder in the -escalate grammar:
 	// "" (defaults), "off", or "start:factor[:max]".

@@ -61,7 +61,7 @@ func (f *SearchFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Budget, "budget", 0,
 		"per-query state budget — caps the escalation ladder (0 = default)")
 	fs.IntVar(&f.Workers, "workers", 0,
-		"search workers per depth level (0 = one per CPU, 1 = sequential)")
+		"search workers per depth level (0 or 1 = sequential, the default; n > 1 = n per level)")
 	fs.StringVar(&f.Escalate, "escalate", "",
 		`budget escalation: "off" for one-shot at the full budget, or start:factor[:max] (empty = escalate with defaults)`)
 	fs.Int64Var(&f.MemBudget, "mem-budget", 0,

@@ -51,9 +51,9 @@ type Options struct {
 	Checker *rosa.Checker
 	// Attacks selects which attacks to model; nil means all four.
 	Attacks []attacks.ID
-	// Parallel additionally fans the independent (phase, attack) queries
-	// out over the CPUs, on top of each query's own frontier-level
-	// parallelism. Results are identical to the sequential run (each
+	// Parallel fans the independent (phase, attack) queries out over the
+	// CPUs (each query's own search stays sequential unless Search.Workers
+	// asks for more). Results are identical to the sequential run (each
 	// query's search is deterministic and independent); only wall-clock
 	// time changes.
 	Parallel bool
@@ -119,13 +119,11 @@ func (e QueryError) Unwrap() error { return e.Err }
 
 // Analysis is the full PrivAnalyzer output for one program.
 type Analysis struct {
-	// Program is the analysed program.
-	Program *programs.Program
-	// AutoPriv is the static-analysis result (required permitted set,
-	// inserted removals).
-	AutoPriv *autopriv.Result
-	// Report is the raw ChronoPriv report.
-	Report *chronopriv.Report
+	// Measurement is the program's AutoPriv and ChronoPriv result; its
+	// fields (Program, AutoPriv, Report, HotBlocks) read through Analysis.
+	// It may be shared with other analyses of the same program and must not
+	// be modified.
+	*Measurement
 	// Phases holds per-phase results in the paper's display order.
 	Phases []PhaseResult
 	// VulnerableShare[i] is the percentage of executed instructions during
@@ -133,15 +131,31 @@ type Analysis struct {
 	// metric. Unknown phases count as not vulnerable, following the
 	// paper's reading of its timeouts.
 	VulnerableShare [4]float64
-	// HotBlocks is the interpreter's hot-block profile for the ChronoPriv
-	// run; nil unless Options.ProfileBlocks was set.
-	HotBlocks *interp.BlockProfile
 	// Errors aggregates every query fault the analysis survived, in job
 	// order (phase-major, attack-minor — deterministic at any parallelism).
 	// Each faulted query's cell reads ⏱ in Phases; a non-empty Errors is
 	// how callers distinguish "budget exhausted" from "query crashed and
 	// was isolated".
 	Errors []QueryError
+}
+
+// Measurement is the dynamic half of an analysis: AutoPriv's static result
+// and ChronoPriv's per-phase report for one program. It is a pure function
+// of the program model and the kernel configuration, and it is immutable
+// once Measure returns — Check only reads it — so one Measurement may back
+// any number of Checks, concurrently. privanalyzerd measures each program
+// once and keeps the result beside the program's hot checker.
+type Measurement struct {
+	// Program is the measured program.
+	Program *programs.Program
+	// AutoPriv is the static-analysis result (required permitted set,
+	// inserted removals).
+	AutoPriv *autopriv.Result
+	// Report is the raw ChronoPriv report.
+	Report *chronopriv.Report
+	// HotBlocks is the interpreter's hot-block profile for the ChronoPriv
+	// run; nil unless Options.ProfileBlocks was set.
+	HotBlocks *interp.BlockProfile
 }
 
 // Analyze runs the full PrivAnalyzer pipeline on a program. It is the
@@ -151,9 +165,10 @@ func Analyze(p *programs.Program, opts Options) (*Analysis, error) {
 }
 
 // AnalyzeContext runs the full PrivAnalyzer pipeline on a program under
-// ctx. A context deadline is the paper's wall-clock analysis limit: ROSA
-// queries still pending when it expires finish promptly with the Unknown
-// (⏱) verdict — the analysis itself still completes and reports them.
+// ctx: Measure, then Check. A context deadline is the paper's wall-clock
+// analysis limit: ROSA queries still pending when it expires finish
+// promptly with the Unknown (⏱) verdict — the analysis itself still
+// completes and reports them.
 //
 // Queries are fault-isolated: a worker panic or successor error inside one
 // search costs that query its verdict (⏱, with the fault recorded in
@@ -169,6 +184,37 @@ func Analyze(p *programs.Program, opts Options) (*Analysis, error) {
 func AnalyzeContext(ctx context.Context, p *programs.Program, opts Options) (*Analysis, error) {
 	root, ctx := telemetry.StartSpan(ctx, "analyze", "program", p.Name)
 	defer root.End()
+	m, err := Measure(ctx, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return Check(ctx, m, opts)
+}
+
+// Measure runs AutoPriv and the ChronoPriv measurement on p — one dynamic
+// run of the model's workload, with the interpreter's hot-block profile
+// when opts.ProfileBlocks is set. Its autopriv and chronopriv spans hang
+// off whatever span ctx carries.
+func Measure(ctx context.Context, p *programs.Program, opts Options) (*Measurement, error) {
+	m := &Measurement{Program: p}
+	var err error
+	if opts.ProfileBlocks {
+		m.Report, m.AutoPriv, m.HotBlocks, err = p.MeasureProfiled(ctx)
+	} else {
+		m.Report, m.AutoPriv, err = p.MeasureContext(ctx)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return m, nil
+}
+
+// Check runs the (phase, attack) ROSA grid over a measurement and assembles
+// the Analysis — every step of AnalyzeContext after the measurement. It
+// reads m and never modifies it. Its rosa.query spans hang off whatever
+// span ctx carries.
+func Check(ctx context.Context, m *Measurement, opts Options) (*Analysis, error) {
+	p := m.Program
 	telemetry.FromContext(ctx).Counter("core_analyses_total").Add(1)
 
 	search := opts.Search
@@ -183,20 +229,8 @@ func AnalyzeContext(ctx context.Context, p *programs.Program, opts Options) (*An
 	lg := telemetry.Logger(ctx).With("component", "core", "program", p.Name)
 	lg.Debug("analysis start", "max_states", search.MaxStates, "attacks", len(ids))
 
-	var rep *chronopriv.Report
-	var ares *autopriv.Result
-	var hot *interp.BlockProfile
-	var err error
-	if opts.ProfileBlocks {
-		rep, ares, hot, err = p.MeasureProfiled(ctx)
-	} else {
-		rep, ares, err = p.MeasureContext(ctx)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-
-	a := &Analysis{Program: p, AutoPriv: ares, Report: rep, HotBlocks: hot}
+	rep := m.Report
+	a := &Analysis{Measurement: m}
 	inventory := p.Syscalls()
 
 	// Build the independent (phase, attack) query jobs.

@@ -404,9 +404,10 @@ func (cr *compiledRule) complete(subj *Term, sig Signature, m *matcherScratch, o
 
 // matchAny reports whether the compiled pattern admits at least one binding
 // satisfying the rule's Cond — the compiled form of Goal.matches. Unlike
-// apply it stops at the first success, and when the pattern's remainder
-// variable is linear and there is no guard it never materializes the
-// remainder configuration or the Binding map at all, so per-state goal
+// apply it stops at the first success, and it follows the goal contract
+// (Goal.Cond): a linear remainder variable absorbs whatever the fixed
+// elements leave but is not bound for the guard, so neither the remainder
+// configuration nor a fresh Binding map is ever built and per-state goal
 // checks are allocation-free.
 func (cr *compiledRule) matchAny(subj *Term, sig Signature, m *matcherScratch) bool {
 	if subj.Kind != Config {
@@ -471,9 +472,11 @@ func (cr *compiledRule) matchAny(subj *Term, sig Signature, m *matcherScratch) b
 }
 
 // completeAny is complete's boolean twin: guard-check one full assignment
-// without constructing replacements.
+// without constructing replacements. A linear remainder stays unbound (the
+// Goal.Cond contract), so the guard sees only the fixed elements' variables;
+// a remainder variable that a fixed element already bound is still compared
+// against the leftover elements, as the interpreter does.
 func (cr *compiledRule) completeAny(subj *Term, sig Signature, m *matcherScratch) bool {
-	boundRest := false
 	if cr.rest >= 0 {
 		if prev := m.slots[cr.rest]; prev != nil {
 			rem := m.rem[:0]
@@ -486,38 +489,23 @@ func (cr *compiledRule) completeAny(subj *Term, sig Signature, m *matcherScratch
 			if !prev.Equal(NewConfig(rem...)) {
 				return false
 			}
-		} else if cr.rule.Cond != nil {
-			rem := m.rem[:0]
-			for j, u := range m.used {
-				if !u {
-					rem = append(rem, subj.Args[j])
-				}
-			}
-			m.rem = rem
-			m.slots[cr.rest] = NewConfig(rem...)
-			boundRest = true
 		}
-		// Linear remainder with no guard: any leftover elements match; skip
-		// materializing them.
 	}
-	ok := true
-	if cr.rule.Cond != nil {
-		b := m.bmap
-		if b == nil {
-			b = make(Binding, len(cr.names))
-			m.bmap = b
+	if cr.rule.Cond == nil {
+		return true
+	}
+	b := m.bmap
+	if b == nil {
+		b = make(Binding, len(cr.names))
+		m.bmap = b
+	}
+	for s, name := range cr.names {
+		if t := m.slots[s]; t != nil {
+			b[name] = t
 		}
-		for s, name := range cr.names {
-			if t := m.slots[s]; t != nil {
-				b[name] = t
-			}
-		}
-		ok = cr.rule.Cond(b)
-		clear(b)
 	}
-	if boundRest {
-		m.slots[cr.rest] = nil
-	}
+	ok := cr.rule.Cond(b)
+	clear(b)
 	return ok
 }
 

@@ -416,3 +416,62 @@ func TestCompiledCounterAccounting(t *testing.T) {
 		t.Error("indexed run skipped nothing; the test would pass vacuously")
 	}
 }
+
+// TestGoalRemainderUnbound pins the Goal.Cond contract on both matchers: a
+// goal's linear remainder variable matches the leftover elements but is
+// never bound for the guard, so a guard that reads it sees nothing — on the
+// compiled path and under NoCompile alike — and the verdicts agree.
+func TestGoalRemainderUnbound(t *testing.T) {
+	for _, noCompile := range []bool{false, true} {
+		t.Run(fmt.Sprintf("no_compile=%v", noCompile), func(t *testing.T) {
+			calls, sawZ := 0, 0
+			goal := Goal{
+				Pattern: NewConfig(NewOp("c", NewVar("N", SortInt)), NewVar("Z", SortConfig)),
+				Cond: func(b Binding) bool {
+					calls++
+					if _, ok := b["Z"]; ok {
+						sawZ++
+					}
+					n, _ := b.Int("N")
+					return n == 3
+				},
+			}
+			res, err := tokens(4).Search(tokensInit3(), goal, Options{NoCompile: noCompile})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Found {
+				t.Fatal("goal c(3) not reached")
+			}
+			if calls == 0 {
+				t.Fatal("goal guard never ran")
+			}
+			if sawZ != 0 {
+				t.Errorf("guard saw the remainder bound in %d of %d calls, want 0", sawZ, calls)
+			}
+		})
+	}
+}
+
+// TestGoalNonLinearRemainder: a remainder variable a fixed element already
+// binds is still compared against the leftover elements, identically on
+// both matchers.
+func TestGoalNonLinearRemainder(t *testing.T) {
+	inner := NewConfig(NewOp("a"), NewOp("b"))
+	goal := Goal{Pattern: NewConfig(NewOp("box", NewVar("Z", SortConfig)), NewVar("Z", SortConfig))}
+	for _, c := range []struct {
+		state *Term
+		want  bool
+	}{
+		{NewConfig(NewOp("box", inner), NewOp("a"), NewOp("b")), true},
+		{NewConfig(NewOp("box", inner), NewOp("a")), false},
+	} {
+		sys := &System{}
+		if got := goal.matches(c.state, nil); got != c.want {
+			t.Errorf("interpreted goal on %s = %v, want %v", c.state, got, c.want)
+		}
+		if got := sys.engine(Options{}, nil).goalChecker(goal)(c.state); got != c.want {
+			t.Errorf("compiled goal on %s = %v, want %v", c.state, got, c.want)
+		}
+	}
+}

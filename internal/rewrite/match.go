@@ -120,7 +120,7 @@ func match(pat, subj *Term, b Binding, sig Signature, yield func(Binding)) {
 		if subj.Kind != Config {
 			return
 		}
-		matchConfig(pat, subj, b, sig, yield)
+		matchConfig(pat, subj, b, sig, true, yield)
 	}
 }
 
@@ -138,8 +138,10 @@ func matchSeq(pats, subjs []*Term, i int, b Binding, sig Signature, yield func(B
 // matchConfig implements AC matching of a configuration pattern: fixed
 // elements are matched against distinct subject elements in any order; at
 // most one configuration-sorted (or unsorted) variable element captures the
-// remainder.
-func matchConfig(pat, subj *Term, b Binding, sig Signature, yield func(Binding)) {
+// remainder. With bindRest false an unbound remainder variable matches the
+// leftover elements without being bound (the Goal.Cond contract), so no
+// remainder configuration is built; one already bound is still compared.
+func matchConfig(pat, subj *Term, b Binding, sig Signature, bindRest bool, yield func(Binding)) {
 	sc := configScratchPool.Get().(*configScratch)
 	defer configScratchPool.Put(sc)
 	fixed := sc.fixed[:0]
@@ -177,6 +179,11 @@ func matchConfig(pat, subj *Term, b Binding, sig Signature, yield func(Binding))
 				yield(b)
 				return
 			}
+			prev, bound := b[rest.Sym]
+			if !bound && !bindRest {
+				yield(b)
+				return
+			}
 			remainder := sc.rem[:0]
 			for j, u := range used {
 				if !u {
@@ -185,7 +192,7 @@ func matchConfig(pat, subj *Term, b Binding, sig Signature, yield func(Binding))
 			}
 			sc.rem = remainder
 			remTerm := NewConfig(remainder...) // copies; the scratch is free to reuse
-			if prev, ok := b[rest.Sym]; ok {
+			if bound {
 				if prev.Equal(remTerm) {
 					yield(b)
 				}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -42,10 +41,14 @@ type Options struct {
 	// why that matters. DepthFirst searches always run sequentially.
 	DepthFirst bool
 	// Workers is the number of goroutines expanding each breadth-first
-	// depth level: 0 means one per CPU (runtime.GOMAXPROCS), 1 forces the
-	// sequential engine. Any value yields verdicts, witnesses, and state
-	// counts identical to Workers=1 — the frontier is expanded level-
-	// synchronized and merged in a fixed order.
+	// depth level: 0 (the default) and 1 run the sequential engine, n > 1
+	// expands each level with n goroutines. Sequential is the default
+	// because every grid search is small enough that level-parallel
+	// expansion costs more than it saves, and concurrent queries (the
+	// server pool, core's Parallel) already occupy the CPUs. Any value
+	// yields verdicts, witnesses, and state counts identical to Workers=1 —
+	// the frontier is expanded level-synchronized and merged in a fixed
+	// order.
 	Workers int
 	// OnStats, if set, receives a progress snapshot after every completed
 	// depth level and once more when the search returns. Each snapshot is a
@@ -152,7 +155,7 @@ type Escalation struct {
 
 // DefaultOptions returns the default search configuration. It is the
 // constructor counterpart of the zero value; both mean bounded-only-by-
-// space BFS with deduplication on and one worker per CPU.
+// space sequential BFS with deduplication on.
 func DefaultOptions() Options { return Options{} }
 
 // workers resolves the effective worker count.
@@ -160,7 +163,7 @@ func (o Options) workers() int {
 	if o.Workers > 0 {
 		return o.Workers
 	}
-	return runtime.GOMAXPROCS(0)
+	return 1
 }
 
 // SearchStats is the engine's observability surface: what the search did,

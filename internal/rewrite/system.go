@@ -552,10 +552,19 @@ type SearchResult struct {
 
 // Goal is a search target: a pattern with variables plus an optional
 // semantic condition on the match (Maude's `such that`).
+//
+// When Pattern is a configuration with a linear remainder variable (the
+// "Z:Configuration" idiom, occurring nowhere else in the pattern), the
+// remainder matches whatever the fixed elements leave but is not bound for
+// Cond: a goal guard reads the variables of the fixed elements only. That
+// keeps the per-state goal check — run once for every explored state —
+// from materializing a remainder configuration it never reads. Both the
+// compiled and the interpreted matcher follow this contract.
 type Goal struct {
 	// Pattern must match the state.
 	Pattern *Term
-	// Cond, if set, must accept some binding of the pattern match.
+	// Cond, if set, must accept some binding of the pattern match. The
+	// binding never holds a linear top-level remainder variable.
 	Cond func(b Binding) bool
 }
 
@@ -564,11 +573,18 @@ func (g Goal) matches(state *Term, sig Signature) bool {
 	ok := false
 	scratch := getBinding()
 	defer putBinding(scratch)
-	match(g.Pattern, state, scratch, sig, func(b Binding) {
-		if g.Cond == nil || g.Cond(b) {
+	yield := func(b Binding) {
+		if !ok && (g.Cond == nil || g.Cond(b)) {
 			ok = true
 		}
-	})
+	}
+	if g.Pattern.Kind == Config {
+		if state.Kind == Config {
+			matchConfig(g.Pattern, state, scratch, sig, false, yield)
+		}
+		return ok
+	}
+	match(g.Pattern, state, scratch, sig, yield)
 	return ok
 }
 

@@ -29,7 +29,7 @@ var ErrQueryFile = errors.New("rosa: bad query file")
 //	goal: read 3
 //	maxstates: 100000
 //	extended: true
-//	workers: 4      # search workers per depth level (0 = one per CPU)
+//	workers: 4      # search workers per depth level (0 or 1 = sequential)
 //	dedup: false    # disable visited-state deduplication (ablation)
 //
 // Terms use the functional syntax of rewrite.ParseTerm; capability-set

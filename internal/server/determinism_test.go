@@ -139,3 +139,146 @@ func metricValue(t *testing.T, baseURL, name string) int64 {
 	t.Fatalf("metric %s not found", name)
 	return 0
 }
+
+// coldAnalyzeBytes is the one-shot CLI path's normalized response for a
+// program: a cold core.AnalyzeContext on a fresh checker, converted and
+// encoded exactly as `privanalyzer -json` does.
+func coldAnalyzeBytes(t *testing.T, name string) []byte {
+	t.Helper()
+	p, err := programs.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.AnalyzeContext(context.Background(), p, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := api.Encode(&buf, api.FromAnalysis(a, false)); err != nil {
+		t.Fatal(err)
+	}
+	return normalize(t, buf.Bytes())
+}
+
+// TestMemoizedAnalyzeMatchesCLI: for every modeled program, the response
+// that measures the program and the one that reuses the memoized
+// measurement are both byte-identical to the cold CLI output — the memo
+// removes repeated work, never changes a verdict, witness, state count, or
+// instruction count.
+func TestMemoizedAnalyzeMatchesCLI(t *testing.T) {
+	reg := telemetry.New()
+	_, ts := testServer(t, Config{Concurrency: 2, Registry: reg})
+	for _, name := range programs.Names() {
+		ref := coldAnalyzeBytes(t, name)
+		for i, label := range []string{"measured", "memoized"} {
+			resp, body := postJSON(t, ts.URL+"/v1/analyze", `{"program":"`+name+`"}`)
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s request %d: status %d: %s", name, i, resp.StatusCode, body)
+			}
+			if got := normalize(t, body); !bytes.Equal(got, ref) {
+				t.Errorf("%s: %s response diverged from the cold CLI run:\n--- server ---\n%s\n--- cli ---\n%s",
+					name, label, got, ref)
+			}
+		}
+	}
+	n := int64(len(programs.Names()))
+	if got := metricValue(t, ts.URL, "server_measure_misses_total"); got != n {
+		t.Errorf("server_measure_misses_total = %d, want %d (one per program)", got, n)
+	}
+	if got := metricValue(t, ts.URL, "server_measure_hits_total"); got != n {
+		t.Errorf("server_measure_hits_total = %d, want %d (one per repeat)", got, n)
+	}
+}
+
+// TestConcurrentFirstAnalyzeMeasuresOnce: concurrent first requests for one
+// program wait for a single measurement instead of each running their own.
+func TestConcurrentFirstAnalyzeMeasuresOnce(t *testing.T) {
+	_, ts := testServer(t, Config{Concurrency: 8})
+	const n = 8
+	status := make([]int, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, _ := postJSON(t, ts.URL+"/v1/analyze", `{"program":"sshd","attacks":[1]}`)
+			status[i] = resp.StatusCode
+		}(i)
+	}
+	wg.Wait()
+	for i, st := range status {
+		if st != 200 {
+			t.Fatalf("request %d: status %d", i, st)
+		}
+	}
+	if got := metricValue(t, ts.URL, "server_measure_misses_total"); got != 1 {
+		t.Errorf("server_measure_misses_total = %d after %d concurrent first requests, want 1", got, n)
+	}
+	if got := metricValue(t, ts.URL, "server_measure_hits_total"); got != n-1 {
+		t.Errorf("server_measure_hits_total = %d, want %d", got, n-1)
+	}
+}
+
+// TestDefaultLRUHoldsEveryKey: the default LRU keeps all nine keys the
+// server uses — the seven programs plus the base and extended ad-hoc
+// checkers — resident together, so ad-hoc traffic never evicts a program's
+// measurement.
+func TestDefaultLRUHoldsEveryKey(t *testing.T) {
+	_, ts := testServer(t, Config{Concurrency: 2})
+	analyzeAll := func() {
+		for _, name := range programs.Names() {
+			resp, body := postJSON(t, ts.URL+"/v1/analyze", `{"program":"`+name+`","attacks":[1]}`)
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s: status %d: %s", name, resp.StatusCode, body)
+			}
+		}
+	}
+	analyzeAll()
+	for _, ext := range []string{"false", "true"} {
+		resp, body := postJSON(t, ts.URL+"/v1/query",
+			`{"attack":2,"privs":"CapSetuid","syscalls":["open","chown","setuid"],"extended":`+ext+`}`)
+		if resp.StatusCode != 200 {
+			t.Fatalf("query extended=%s: status %d: %s", ext, resp.StatusCode, body)
+		}
+	}
+	analyzeAll()
+	if got := metricValue(t, ts.URL, "server_checkers_resident"); got != 9 {
+		t.Errorf("server_checkers_resident = %d, want 9", got)
+	}
+	if got, want := metricValue(t, ts.URL, "server_measure_misses_total"), int64(len(programs.Names())); got != want {
+		t.Errorf("server_measure_misses_total = %d, want %d: an ad-hoc key evicted a program entry", got, want)
+	}
+}
+
+// TestAnalyzeSpanMeasurementLabel: the analyze root span says whether the
+// request ran the program's measurement or reused the memoized one.
+func TestAnalyzeSpanMeasurementLabel(t *testing.T) {
+	reg := telemetry.NewCapture()
+	_, ts := testServer(t, Config{Concurrency: 1, Registry: reg})
+	for i := 0; i < 2; i++ {
+		if resp, body := postJSON(t, ts.URL+"/v1/analyze", `{"program":"ping","attacks":[1]}`); resp.StatusCode != 200 {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var rec struct {
+			Type   string            `json:"type"`
+			Name   string            `json:"name"`
+			Labels map[string]string `json:"labels"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("JSONL line %q: %v", line, err)
+		}
+		if rec.Type == "span" && rec.Name == "analyze" {
+			labels = append(labels, rec.Labels["measurement"])
+		}
+	}
+	if want := []string{"measured", "cached"}; strings.Join(labels, ",") != strings.Join(want, ",") {
+		t.Errorf("analyze span measurement labels = %v, want %v", labels, want)
+	}
+}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"privanalyzer/internal/core"
 	"privanalyzer/internal/obs"
 	"privanalyzer/internal/programs"
+	"privanalyzer/internal/telemetry"
 )
 
 // maxBodyBytes bounds request bodies; program names and query files are
@@ -157,25 +160,28 @@ func (s *Server) effectiveDeadline(p api.SearchParams) time.Duration {
 }
 
 // prepareAnalyze validates an analyze request and binds it to the program's
-// LRU-resident checker.
+// LRU-resident entry. It builds nothing: the program and its measurement
+// are built on the pool worker, inside run, the first time the entry is
+// used, so that work is admitted and metered like any other.
 func (s *Server) prepareAnalyze(req api.AnalyzeRequest) (*prepared, *requestError) {
 	if req.Program == "" {
 		return nil, &requestError{status: http.StatusBadRequest, code: api.CodeBadRequest, msg: "program is required"}
 	}
-	p, err := programs.ByName(req.Program)
-	if err != nil {
-		return nil, &requestError{status: http.StatusNotFound, code: api.CodeNotFound, msg: err.Error()}
+	if !slices.Contains(programs.Names(), req.Program) {
+		return nil, &requestError{status: http.StatusNotFound, code: api.CodeNotFound,
+			msg: fmt.Sprintf("programs: unknown program %q", req.Program)}
 	}
 	req.Search = req.Search.OrDefaults(s.cfg.DefaultSearch)
 	opts, err := req.CoreOptions()
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	opts.Checker = s.checkers.get(p.Name)
+	ent := s.entries.get(req.Program)
+	opts.Checker = ent.checker
 	if s.cfg.SearchFaults != nil {
 		opts.Search.Faults = s.cfg.SearchFaults
 	}
-	s.reg.Gauge("server_checkers_resident").Set(int64(s.checkers.len()))
+	s.reg.Gauge("server_checkers_resident").Set(int64(s.entries.len()))
 	return &prepared{
 		kind:     "analyze",
 		priority: req.Priority,
@@ -190,11 +196,24 @@ func (s *Server) prepareAnalyze(req api.AnalyzeRequest) (*prepared, *requestErro
 			if s.degradeSearch() && !o.Search.NoEscalate {
 				o.Search.Escalate.Start = clampEscalateStart(o.Search.Escalate.Start)
 			}
-			a, err := core.AnalyzeContext(ctx, p, o)
+			root, ctx := telemetry.StartSpan(ctx, "analyze", "program", req.Program)
+			defer root.End()
+			m, measured, err := ent.measurement(ctx)
+			if measured {
+				root.SetLabel("measurement", "measured")
+				s.reg.Counter("server_measure_misses_total").Add(1)
+			} else {
+				root.SetLabel("measurement", "cached")
+				s.reg.Counter("server_measure_hits_total").Add(1)
+			}
 			if err != nil {
 				return nil, err
 			}
-			s.recordSlow(ctx, "analyze", p.Name, analysisVerdicts(a), analysisCost(a))
+			a, err := core.Check(ctx, m, o)
+			if err != nil {
+				return nil, err
+			}
+			s.recordSlow(ctx, "analyze", req.Program, analysisVerdicts(a), analysisCost(a))
 			return api.FromAnalysis(a, req.Search.Stats), nil
 		},
 	}, nil
@@ -214,11 +233,11 @@ func (s *Server) prepareQuery(req api.QueryRequest) (*prepared, *requestError) {
 	if q.Extended {
 		key = "\x00adhoc-ext"
 	}
-	checker := s.checkers.get(key)
+	checker := s.entries.get(key).checker
 	if s.cfg.SearchFaults != nil {
 		q.Options.Faults = s.cfg.SearchFaults
 	}
-	s.reg.Gauge("server_checkers_resident").Set(int64(s.checkers.len()))
+	s.reg.Gauge("server_checkers_resident").Set(int64(s.entries.len()))
 	return &prepared{
 		kind:     "query",
 		priority: req.Priority,
@@ -272,7 +291,8 @@ func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, p *prepared) 
 }
 
 // handleAnalyze runs the full pipeline for one modeled program on the
-// pool, against the program's LRU-resident checker.
+// pool, against the program's LRU-resident entry: its memoized measurement
+// and its hot checker.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req api.AnalyzeRequest
 	if err := decode(w, r, &req); err != nil {

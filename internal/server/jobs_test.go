@@ -432,6 +432,8 @@ func TestJobMetrics(t *testing.T) {
 	resp.Body.Close()
 	for _, want := range []string{
 		"rosa_recorder_dropped_events_total",
+		"server_measure_hits_total",
+		"server_measure_misses_total",
 		"server_jobs_total",
 		"server_jobs_resident",
 		"server_queue_wait_ns_count",

@@ -166,10 +166,10 @@ func TestPoolDrainFinishesQueued(t *testing.T) {
 // TestCheckerLRU: hits return the same instance, capacity evicts the
 // coldest entry.
 func TestCheckerLRU(t *testing.T) {
-	l := newCheckerLRU(2)
+	l := newEntryLRU(2)
 	a1 := l.get("a")
 	if l.get("a") != a1 {
-		t.Error("second get returned a different checker")
+		t.Error("second get returned a different entry")
 	}
 	l.get("b")
 	l.get("a") // refresh a; b is now coldest

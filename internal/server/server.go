@@ -1,7 +1,9 @@
 // Package server is the long-lived analysis daemon behind privanalyzerd: a
 // REST+JSON front end over the engine that runs submissions on a bounded,
-// prioritized worker pool and keeps per-program rosa.Checker instances hot
-// in an LRU so the interner and transition caches amortize across requests.
+// prioritized worker pool and keeps one entry per program hot in an LRU:
+// the program's measurement (AutoPriv plus ChronoPriv, run once) and its
+// rosa.Checker, whose interner and transition caches amortize across
+// requests.
 //
 // The wire contract lives in internal/api — handlers decode requests into
 // and encode responses from those types only, so the server's JSON is the
@@ -31,18 +33,22 @@ import (
 
 	"privanalyzer/internal/api"
 	"privanalyzer/internal/faultinject"
+	"privanalyzer/internal/programs"
 	"privanalyzer/internal/telemetry"
 )
 
 // Config tunes the daemon. The zero value serves with defaults.
 type Config struct {
 	// Concurrency is the worker-pool size — how many analyses/queries run
-	// at once (each may use multi-worker search internally). 0 = NumCPU.
+	// at once (each searches sequentially unless its workers knob asks for
+	// more). 0 = NumCPU.
 	Concurrency int
 	// QueueDepth bounds the pending queue; a full queue rejects with 503
 	// and flips /readyz. 0 = 64.
 	QueueDepth int
-	// Checkers caps the per-program checker LRU. 0 = 8.
+	// Checkers caps the LRU of per-program entries (checker plus memoized
+	// measurement) and ad-hoc query checkers. 0 = one per modeled program
+	// plus the two ad-hoc checkers, so none of them evicts another.
 	Checkers int
 	// DefaultSearch supplies server-side fallbacks for request knobs left
 	// zero (the privanalyzerd flag surface, shared via cmdutil.SearchFlags).
@@ -89,19 +95,19 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Server is the daemon: pool, checker LRU, jobs registry, metrics, and HTTP
-// surface.
+// Server is the daemon: pool, program-entry LRU, jobs registry, metrics,
+// and HTTP surface.
 type Server struct {
-	cfg      Config
-	reg      *telemetry.Registry
-	log      *slog.Logger
-	pool     *pool
-	checkers *checkerLRU
-	jobs     *jobRegistry
-	slow     *slowLog
-	adm      *Admission
-	brown    *brownout
-	mux      *http.ServeMux
+	cfg     Config
+	reg     *telemetry.Registry
+	log     *slog.Logger
+	pool    *pool
+	entries *entryLRU
+	jobs    *jobRegistry
+	slow    *slowLog
+	adm     *Admission
+	brown   *brownout
+	mux     *http.ServeMux
 
 	// base is the context async jobs (and Serve's requests) descend from: a
 	// client dropping its SSE stream must not cancel the job it watches, so
@@ -127,7 +133,10 @@ func New(cfg Config) *Server {
 		cfg.QueueDepth = 64
 	}
 	if cfg.Checkers <= 0 {
-		cfg.Checkers = 8
+		// Every program plus the two ad-hoc checkers stay resident
+		// together; one slot fewer lets an extended ad-hoc query evict a
+		// program's entry and force a full re-measurement.
+		cfg.Checkers = len(programs.Names()) + 2
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
@@ -141,15 +150,15 @@ func New(cfg Config) *Server {
 		log = telemetry.Discard
 	}
 	s := &Server{
-		cfg:      cfg,
-		reg:      reg,
-		log:      log,
-		pool:     newPool(cfg.Concurrency, cfg.QueueDepth),
-		checkers: newCheckerLRU(cfg.Checkers),
-		jobs:     newJobRegistry(),
-		slow:     newSlowLog(cfg.SlowLog),
-		adm:      NewAdmission(cfg.MaxQueueCost),
-		drainCh:  make(chan struct{}),
+		cfg:     cfg,
+		reg:     reg,
+		log:     log,
+		pool:    newPool(cfg.Concurrency, cfg.QueueDepth),
+		entries: newEntryLRU(cfg.Checkers),
+		jobs:    newJobRegistry(),
+		slow:    newSlowLog(cfg.SlowLog),
+		adm:     NewAdmission(cfg.MaxQueueCost),
+		drainCh: make(chan struct{}),
 	}
 	s.base, s.killBase = context.WithCancel(context.Background())
 	s.pool.onWait = func(d time.Duration) { s.reg.Timer("server_queue_wait_ns").Observe(d) }
@@ -166,6 +175,7 @@ func New(cfg Config) *Server {
 		"rosa_compiled_matches_total", "rosa_fallback_matches_total",
 		"rosa_recorder_dropped_events_total",
 		"server_slowlog_admitted_total",
+		"server_measure_hits_total", "server_measure_misses_total",
 	} {
 		s.reg.Counter(name)
 	}

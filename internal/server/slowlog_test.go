@@ -275,6 +275,15 @@ func TestMetricsJSONShape(t *testing.T) {
 	if m.Counters["server_requests_total"] < 1 {
 		t.Errorf("server_requests_total = %d, want >= 1", m.Counters["server_requests_total"])
 	}
+	// The measurement memo: the one analysis measured su; none reused it.
+	for name, want := range map[string]int64{
+		"server_measure_misses_total": 1,
+		"server_measure_hits_total":   0,
+	} {
+		if got, ok := m.Counters[name]; !ok || got != want {
+			t.Errorf("%s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
 	// The process gauges registered by SampleProcess.
 	if m.Gauges["process_goroutines"] < 1 {
 		t.Errorf("process_goroutines = %d, want >= 1", m.Gauges["process_goroutines"])
